@@ -20,9 +20,11 @@ A trie that outgrows its node bound (``trie_node_bound`` in
 rather than resetting wholesale: every lookup stamps the nodes along
 its path with a recency tick, and eviction peels cold leaves inward
 (a parent whose last child is evicted becomes a leaf itself) until the
-trie is back under three quarters of the bound.  Long-running warm
-workers therefore keep the hot prefix sets of the wrappers they are
-actually re-applying, losing only the cold tails.
+trie is back under three quarters of the bound.  Long learning runs
+and arena-attached sites therefore keep the hot prefix sets of the
+wrappers they actually re-evaluate, losing only the cold tails.
+(Applying a stored rule to a fresh crawl does not build a trie at all;
+see :func:`repro.wrappers.xpath_inductor._extract_xpath`.)
 """
 
 from __future__ import annotations

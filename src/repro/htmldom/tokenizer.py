@@ -15,6 +15,7 @@ real, imperfect HTML emitted by site scripts.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 
 from repro.htmldom.entities import decode_entities
@@ -24,6 +25,14 @@ _WHITESPACE = frozenset(" \t\r\n\f")
 
 # Content of these elements is raw text up to the matching close tag.
 RAWTEXT_ELEMENTS = frozenset({"script", "style"})
+
+# Close-tag openers of the raw-text elements, matched ASCII
+# case-insensitively as HTML tag names are ("</SCRIPT" closes a script;
+# non-ASCII look-alikes do not).
+_RAWTEXT_CLOSE = {
+    tag: re.compile(re.escape("</" + tag), re.IGNORECASE | re.ASCII)
+    for tag in RAWTEXT_ELEMENTS
+}
 
 
 class TokenKind(enum.Enum):
@@ -112,11 +121,13 @@ def _consume_text(html: str, i: int, tokens: list[Token]) -> int:
 
 
 def _consume_rawtext(html: str, i: int, tag: str, tokens: list[Token]) -> int:
-    """Consume raw text content of ``<script>``/``<style>`` up to its close tag."""
-    lower = html.lower()
-    close = lower.find("</" + tag, i)
-    if close == -1:
-        close = len(html)
+    """Consume raw text content of ``<script>``/``<style>`` up to its close tag.
+
+    The close tag is searched in the source itself, from ``i`` on, so
+    each raw-text block costs time linear in its own length.
+    """
+    match = _RAWTEXT_CLOSE[tag].search(html, i)
+    close = len(html) if match is None else match.start()
     if close > i:
         tokens.append(
             Token(kind=TokenKind.TEXT, start=i, end=close, data=html[i:close])

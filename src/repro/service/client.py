@@ -145,6 +145,9 @@ class ServiceClient:
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         else:
             sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            # Pipelined requests are small frames: send each at once
+            # instead of holding it for the previous one's ACK.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(self.timeout)
         try:
             sock.connect(address if isinstance(address, str) else tuple(address))

@@ -81,8 +81,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ExtractionServer", "ServerError"]
 
-#: Dispatcher idle poll, seconds (only reached when no outcome and no
-#: admissible request was found on a pass).
+#: Dispatcher idle wait bound, seconds (only reached when no outcome
+#: and no admissible request was found on a pass): the longest the
+#: dispatcher goes without checking deadlines, reaping and draining.
 _IDLE_SLEEP = 0.005
 
 #: How long a ``stats`` snapshot's derived rollups (the arena scan)
@@ -293,6 +294,9 @@ class ExtractionServer:
         self._flights: dict[str, _Flight] = {}
         self._threads: list[threading.Thread] = []
         self._stop = threading.Event()
+        #: Set by reader threads on every queued frame and disconnect
+        #: (and by close/drain): what an idle dispatcher waits on.
+        self._wake = threading.Event()
         self._started = False
         self._draining = False
         self._drained = threading.Event()
@@ -432,6 +436,7 @@ class ExtractionServer:
         if not self._started:
             raise ServerError("server not started")
         self._draining = True
+        self._wake.set()
         self._shutdown_listener()
         drained = self._drained.wait(timeout)
         self.close()
@@ -443,6 +448,7 @@ class ExtractionServer:
             self._stop.set()
             return
         self._stop.set()
+        self._wake.set()
         self._shutdown_listener()
         for thread in self._threads:
             thread.join(timeout=10.0)
@@ -505,6 +511,16 @@ class ExtractionServer:
                 if self._stop.is_set():
                     return
                 continue
+            if self.socket_path is None:
+                # Responses are small frames written back to back; with
+                # Nagle on, one written while the previous one is still
+                # unacknowledged waits for the peer's delayed ACK.
+                try:
+                    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                except OSError:
+                    telemetry.counter(
+                        metric_names.SERVER_SWALLOWED_ERRORS
+                    ).inc(where="accept.nodelay")
             client = _Client(sock, self.queue_depth)
             reader = threading.Thread(
                 target=self._read_loop,
@@ -549,6 +565,7 @@ class ExtractionServer:
                         ),
                     }
                 client.queue.put((record, recv))
+                self._wake.set()
         except (protocol.ProtocolError, OSError) as error:
             # Framing lost or connection reset: the client must be
             # dropped — but never silently.  An operator watching a
@@ -561,6 +578,7 @@ class ExtractionServer:
             telemetry.counter(metric_names.SERVER_DROPPED_READERS).inc()
         finally:
             client.closed = True
+            self._wake.set()
 
     # -- the dispatcher ----------------------------------------------------
 
@@ -568,6 +586,10 @@ class ExtractionServer:
         session = self._session
         last_reap = time.monotonic()
         while not self._stop.is_set():
+            # Cleared before the pass looks at any queue: a frame queued
+            # from here on sets it again, so the idle wait below cannot
+            # sleep through a request.
+            self._wake.clear()
             progressed = False
             for outcome in session.advance():
                 self._complete(outcome)
@@ -626,7 +648,7 @@ class ExtractionServer:
                 )
                 if not busy:
                     self._drained.set()
-            if not progressed:
+            if not progressed and session.in_flight:
                 # A real timed wait, not a sleep: completions land
                 # immediately, and a quiet wait runs worker health
                 # checks — crashed workers get reaped, retried or
@@ -634,6 +656,11 @@ class ExtractionServer:
                 # sleep here would leave a dead worker's jobs — and
                 # their clients — hanging forever.
                 session.pump(_IDLE_SLEEP)
+            elif not progressed:
+                # Nothing in the pool, so nothing can complete: wait for
+                # a reader's wake-up instead of spinning.  A bounded
+                # wait keeps deadlines, reaping and draining on time.
+                self._wake.wait(_IDLE_SLEEP)
 
     def _expire_deadlines(self) -> bool:
         """Answer every ticket whose deadline has passed.

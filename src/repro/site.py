@@ -87,6 +87,10 @@ class Site:
             self._derived[key] = value
         return value
 
+    def has_derived(self, key) -> bool:
+        """Whether ``key`` has been derived (see :meth:`derived`)."""
+        return key in self._derived
+
     def content_fingerprint(self) -> str:
         """Stable hex digest of this site's page *content*.
 

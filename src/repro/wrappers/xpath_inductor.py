@@ -14,6 +14,13 @@ The learned wrapper renders to an xpath of the supported fragment
 xpath reproduces ``extract``) whenever every position carrying a
 child-number constraint also carries a tag constraint, which
 :attr:`XPathWrapper.exactly_renderable` reports.
+
+Extraction takes one of two routes, chosen by what the site already
+holds (see :func:`_extract_xpath`): learning builds the site-wide
+feature index anyway, so ranking hundreds of candidates intersects
+posting sets through a shared prefix trie; applying a stored rule to a
+fresh crawl instead evaluates the rendered xpath page by page against
+the indexes every parsed page carries, and derives nothing site-wide.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from repro.xpathlang.ast import (
     Predicate,
     Step,
 )
+from repro.xpathlang.compiled import compile_xpath
 
 #: Feature attributes are ``(position, kind)`` with position >= 1 counted
 #: from the text node's parent upward; kind is ``"tag"``, ``"childnum"``
@@ -94,17 +102,25 @@ class _FeatureIndex:
                 self.as_set[node.node_id] = shared[1]
 
 
-def _build_trie(site: Site) -> FeatureTrie:
-    # Arena-attached sites ship their feature postings pre-packed in the
-    # mapped segment: serve the trie straight off those flat arrays —
-    # no feature-map pass, no posting inversion, postings materialize
-    # lazily per item on first lookup.
+def _packed_postings(site: Site):
+    """The site's arena binding if its segment packed feature postings."""
     binding = getattr(site, "_arena", None)
     if (
         binding is not None
         and binding.reader is not None
         and binding.reader.has("feat.offs")
     ):
+        return binding
+    return None
+
+
+def _build_trie(site: Site) -> FeatureTrie:
+    # Arena-attached sites ship their feature postings pre-packed in the
+    # mapped segment: serve the trie straight off those flat arrays —
+    # no feature-map pass, no posting inversion, postings materialize
+    # lazily per item on first lookup.
+    binding = _packed_postings(site)
+    if binding is not None:
         from repro.arena.sitepack import ArenaPostings, arena_text_universe
 
         # Postings and universe stay in packed int space (page<<32|pre):
@@ -122,9 +138,19 @@ def _build_trie(site: Site) -> FeatureTrie:
 
 def _site_trie(site: Site) -> FeatureTrie:
     """The site's posting trie (built from the feature index on demand)."""
-    if isinstance(site, Site):
-        return site.derived("xpath.trie", _build_trie)
-    return _build_trie(site)
+    return site.derived("xpath.trie", _build_trie)
+
+
+def _has_feature_postings(site: Site) -> bool:
+    """Whether the site's feature postings are already paid for.
+
+    True once induction has built the feature index on the site, or
+    when the site is attached from an arena segment that packed its
+    postings.  Duck-typed page collections hold neither.
+    """
+    return isinstance(site, Site) and (
+        site.has_derived("xpath.features") or _packed_postings(site) is not None
+    )
 
 
 def _index_for(site: Site) -> _FeatureIndex:
@@ -169,12 +195,11 @@ class XPathWrapper(Wrapper):
         )
 
     def extract(self, corpus: Site) -> Labels:
-        """Extraction through the engine: a posting-trie intersection.
+        """Extraction through the engine (see :func:`_extract_xpath`).
 
         Equivalent (node for node) to testing ``self.features`` as a
         subset of every text node's feature set; the engine memoizes
-        the result per ``(site, wrapper)`` and shares trie prefixes
-        with every other wrapper evaluated on the site.
+        the result per ``(site, wrapper)``.
         """
         return get_engine().extract(corpus, self)
 
@@ -184,14 +209,17 @@ class XPathWrapper(Wrapper):
 
         A child-number constraint at a position with no tag constraint
         renders as an unfiltered ``*`` step, which is strictly more
-        general than the feature test.
+        general than the feature test.  So does a feature the fragment
+        cannot state (see :func:`_statable`) or a second value for one
+        ``(position, kind)``; learned rules have neither.
         """
-        positions_with_childnum = {
-            pos for (pos, kind), _ in self.features if kind == "childnum"
-        }
-        positions_with_tag = {
-            pos for (pos, kind), _ in self.features if kind == "tag"
-        }
+        keys = {key for key, _ in self.features}
+        if len(keys) != len(self.features):
+            return False
+        if not all(_statable(feature) for feature in self.features):
+            return False
+        positions_with_childnum = {pos for pos, kind in keys if kind == "childnum"}
+        positions_with_tag = {pos for pos, kind in keys if kind == "tag"}
         return positions_with_childnum <= positions_with_tag
 
     def to_xpath(self) -> LocationPath:
@@ -222,16 +250,67 @@ class XPathWrapper(Wrapper):
         return str(self.to_xpath())
 
 
+def _statable(feature: tuple[PathAttribute, Hashable]) -> bool:
+    """Whether :meth:`XPathWrapper.to_xpath` states ``feature`` exactly.
+
+    Learned features always are; a hand-written or foreign spec may
+    carry a position below 1, an unknown kind, or a value of the wrong
+    type, which no text node's feature map can contain.
+    """
+    (position, kind), value = feature
+    if type(position) is not int or position < 1:
+        return False
+    if kind == "tag":
+        return isinstance(value, str) and value != "*"
+    if kind == "childnum":
+        return type(value) is int
+    return isinstance(kind, str) and kind.startswith("@") and isinstance(value, str)
+
+
 @register_extractor(XPathWrapper)
 def _extract_xpath(site: Site, wrapper: XPathWrapper) -> Labels:
-    """Compiled extraction: intersect the posting sets of the rule's
-    features via the site's shared prefix trie."""
+    """Compiled extraction, through whatever the site already holds.
+
+    A site whose feature postings are already paid for (see
+    :func:`_has_feature_postings`) intersects the posting sets of the
+    rule's features via its shared prefix trie.  Any other site is
+    evaluated page by page (:func:`_extract_per_page`).  Both routes
+    return the same node ids.
+    """
+    if not _has_feature_postings(site):
+        return _extract_per_page(site, wrapper)
     trie = _site_trie(site)
     result = trie.lookup(wrapper.features)
     # Arena tries intersect packed int codes; decode the final (small)
     # result set back to NodeIds at this one boundary.
     decode = getattr(trie.postings, "decode_result", None)
     return decode(result) if decode is not None else result
+
+
+def _extract_per_page(site: Site, wrapper: XPathWrapper) -> Labels:
+    """Evaluate the rendered rule against each page's own indexes.
+
+    A rule :attr:`~XPathWrapper.exactly_renderable` is its xpath.  Any
+    other rule evaluates the xpath of its statable features, which
+    matches a superset of the rule, and keeps the result nodes whose
+    root-path features contain the whole rule.
+    """
+    exact = wrapper.exactly_renderable
+    rendered = (
+        wrapper
+        if exact
+        else XPathWrapper(frozenset(filter(_statable, wrapper.features)))
+    )
+    compiled = compile_xpath(rendered.to_xpath())
+    found = [node for page in site.pages for node in compiled.evaluate_cached(page)]
+    if not exact:
+        wanted = wrapper.features
+        found = [
+            node
+            for node in found
+            if wanted <= frozenset(_node_features(node).items())
+        ]
+    return frozenset(node.node_id for node in found)
 
 
 class XPathInductor(FeatureBasedInductor):

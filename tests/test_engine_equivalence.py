@@ -10,11 +10,15 @@ PRODUCTS) plus adversarial hand-written pages:
   generated from each page's own tags/attributes;
 - engine-backed wrapper extraction (posting trie / span tables) must
   be bitwise identical to the seed per-call semantics, re-implemented
-  here verbatim as oracles.
+  here verbatim as oracles;
+- applying XPATH rules to a freshly parsed site (the per-page compiled
+  route, which derives nothing site-wide) must match the same oracle
+  for every enumerated candidate, rendered exactly or not.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
@@ -24,7 +28,7 @@ from repro.htmldom.dom import TextNode
 from repro.xpathlang import compile_xpath, evaluate, parse_xpath
 from repro.wrappers.hlrt import HLRTInductor
 from repro.wrappers.lr import LRInductor
-from repro.wrappers.xpath_inductor import XPathInductor, _index_for
+from repro.wrappers.xpath_inductor import XPathInductor, _FeatureIndex, _index_for
 
 #: Fragment-covering catalog: child + descendant axes, positional and
 #: attribute predicates (alone, stacked, and ordered), text() tails,
@@ -163,9 +167,11 @@ class TestCompiledPathEquivalence:
 # -- wrapper extraction vs seed semantics -----------------------------------
 
 
-def _seed_xpath_extract(wrapper, site):
-    """The seed's per-call subset test, verbatim."""
-    index = _index_for(site)
+def _seed_xpath_extract(wrapper, site, index=None):
+    """The seed's per-call subset test, verbatim (over ``index``, or
+    the site's memoized feature index)."""
+    if index is None:
+        index = _index_for(site)
     wanted = wrapper.features
     return frozenset(
         node_id
@@ -301,3 +307,148 @@ def test_foreign_site_features_extract_nothing():
     site = _sample_sites()[0]
     wrapper = XPathWrapper(features=frozenset({((1, "tag"), "nosuchtag")}))
     assert wrapper.extract(site) == frozenset()
+
+
+# -- per-page XPATH apply vs the seed oracle ---------------------------------
+
+
+def _fresh(site):
+    """A new parse of ``site``'s pages: no derived state, same node ids."""
+    from repro.site import Site
+
+    return Site.from_html(site.name, [page.source for page in site.pages])
+
+
+def _candidates(inductor, generated, annotator):
+    """Every TopDown candidate over the noisy labels plus all gold."""
+    from repro.enumeration import enumerate_top_down
+
+    labels = annotator.annotate(generated.site)
+    for gold in generated.gold.values():
+        labels |= gold
+    return enumerate_top_down(inductor, generated.site, labels).wrappers
+
+
+def _assert_fresh_apply_matches_seed(site, wrappers):
+    """Apply ``wrappers`` to a fresh parse of ``site``, then check each
+    result against the seed oracle, built only after every apply."""
+    fresh = _fresh(site)
+    engine = EvaluationEngine()
+    applied = [engine.extract(fresh, wrapper) for wrapper in wrappers]
+    # The per-page route left no learn-time structure on the site.
+    assert not fresh.has_derived("xpath.features")
+    assert not fresh.has_derived("xpath.trie")
+    index = _FeatureIndex(fresh)
+    for wrapper, extracted in zip(wrappers, applied):
+        assert extracted == _seed_xpath_extract(wrapper, fresh, index), (
+            wrapper.rule() if wrapper.exactly_renderable else wrapper.features
+        )
+
+
+@functools.cache
+def _oracle_bundles():
+    from repro.datasets.dealers import generate_dealers
+    from repro.datasets.disc import generate_disc
+    from repro.datasets.products import generate_products
+
+    return [
+        generate_dealers(n_sites=12, pages_per_site=4, seed=11),
+        generate_disc(n_sites=4, seed=23),
+        generate_products(n_sites=10, pages_per_site=4, seed=37),
+    ]
+
+
+def test_fresh_site_apply_matches_seed_for_every_candidate():
+    """Every TopDown candidate, applied to a fresh parse of its site.
+
+    Roughly a quarter of the candidates carry a child number at a
+    position without a tag, so they take the filtered route.
+    """
+    inductor = XPathInductor()
+    total = not_renderable = 0
+    for bundle in _oracle_bundles():
+        annotator = bundle.annotator()
+        for generated in bundle.sites:
+            wrappers = _candidates(inductor, generated, annotator)
+            _assert_fresh_apply_matches_seed(generated.site, wrappers)
+            total += len(wrappers)
+            not_renderable += sum(
+                not wrapper.exactly_renderable for wrapper in wrappers
+            )
+    assert total >= 500
+    assert not_renderable >= 100
+
+
+def test_fresh_apply_matches_seed_on_drifted_sites():
+    """Rules enumerated on a site, applied to its drifted re-crawls."""
+    from repro.datasets.sitegen import DRIFT_SEVERITIES, drift_site
+
+    inductor = XPathInductor()
+    total = 0
+    for bundle in _oracle_bundles():
+        annotator = bundle.annotator()
+        for generated in bundle.sites[:2]:
+            wrappers = _candidates(inductor, generated, annotator)
+            for severity in DRIFT_SEVERITIES:
+                drifted = drift_site(generated, severity=severity, seed=5)
+                _assert_fresh_apply_matches_seed(drifted.site, wrappers)
+                total += len(wrappers)
+    assert total >= 200
+
+
+def test_fresh_apply_matches_seed_on_edge_rules():
+    """The empty rule, rules from other sites, and hand-written rules
+    the xpath fragment cannot state."""
+    from repro.wrappers.xpath_inductor import XPathWrapper
+
+    inductor = XPathInductor()
+    dealers, disc, _ = _oracle_bundles()
+    site = dealers.sites[0].site
+    foreign = _candidates(inductor, disc.sites[0], disc.annotator())
+    td = ((1, "tag"), "td")
+    edge = [
+        XPathWrapper(features=frozenset()),
+        XPathWrapper(features=frozenset({((1, "tag"), "nosuchtag")})),
+        # Two values for one (position, kind): matches nothing.
+        XPathWrapper(features=frozenset({td, ((1, "tag"), "th")})),
+        # Position 0, an unknown kind, mistyped values, a "*" tag.
+        XPathWrapper(features=frozenset({td, ((0, "tag"), "td")})),
+        XPathWrapper(features=frozenset({td, ((1, "colour"), "red")})),
+        XPathWrapper(features=frozenset({td, ((1, "childnum"), "1")})),
+        XPathWrapper(features=frozenset({td, ((1, "childnum"), 1.0)})),
+        XPathWrapper(features=frozenset({((1, "tag"), "*")})),
+        XPathWrapper(features=frozenset({((2, "tag"), 7), td})),
+        XPathWrapper(features=frozenset({((1, "@class"), None)})),
+    ]
+    assert not any(wrapper.exactly_renderable for wrapper in edge[2:])
+    _assert_fresh_apply_matches_seed(site, edge + foreign)
+    empty = EvaluationEngine().extract(_fresh(site), edge[0])
+    assert empty == site.text_node_ids()
+
+
+def test_learned_and_arena_sites_keep_the_trie(tmp_path):
+    """Sites whose postings are already paid for extract through the
+    trie: after induction, and when attached from a segment that packed
+    them.  A segment without postings takes the per-page route."""
+    from repro.arena import ensure_arena, load_site
+    from repro.wrappers.xpath_inductor import _has_feature_postings
+
+    site = _sample_sites()[0]
+    fresh = _fresh(site)
+    assert not _has_feature_postings(fresh)
+    wrapper = XPathInductor().induce(
+        fresh, frozenset(sorted(fresh.text_node_ids())[:2])
+    )
+    assert _has_feature_postings(fresh)
+    expected = EvaluationEngine().extract(fresh, wrapper)
+    assert fresh.has_derived("xpath.trie")
+
+    for include_postings in (True, False):
+        packed = _fresh(site)
+        binding = ensure_arena(
+            packed, directory=str(tmp_path), include_postings=include_postings
+        )
+        attached = load_site(binding.handle)
+        assert _has_feature_postings(attached) is include_postings
+        assert EvaluationEngine().extract(attached, wrapper) == expected
+        assert attached.has_derived("xpath.trie") is include_postings

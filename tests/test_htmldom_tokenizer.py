@@ -164,6 +164,44 @@ class TestLenientParsing:
         tokens = tokenize("<script>var x = 1;")
         assert tokens[1].data == "var x = 1;"
 
+    def test_raw_text_close_tag_is_case_insensitive(self):
+        tokens = tokenize("<SCRIPT>a</ScRiPt><style>b</STYLE>")
+        assert [t.data for t in tokens if t.kind is TokenKind.TEXT] == ["a", "b"]
+        assert [t.name for t in tokens if t.kind is TokenKind.END_TAG] == [
+            "script",
+            "style",
+        ]
+
+    def test_raw_text_close_tag_after_case_changing_text(self):
+        """``"İ".lower()`` is two code points: a close tag searched in a
+        lowercased copy of the page lands at the wrong offset."""
+        html = "<p>\u0130\u0130\u0130\u0130</p><script>var x=1;</script>"
+        tokens = tokenize(html)
+        assert tokens[4].data == "var x=1;"
+        assert tokens[5].kind is TokenKind.END_TAG
+        assert tokens[5].name == "script"
+        assert tokens[5].end == len(html)
+
+    def test_raw_text_close_tag_matches_ascii_letters_only(self):
+        # U+017F (long s) case-folds to "s" outside ASCII matching.
+        tokens = tokenize("<script>a</\u017fcript>b</script>")
+        assert tokens[1].data == "a</\u017fcript>b"
+
+    def test_raw_text_scanning_is_linear(self):
+        """8x the script blocks must cost ~8x the time, not ~25x."""
+        import time
+
+        def best_of_three(blocks: int) -> float:
+            html = "<p>x</p>" + "<script>var a = 1;</script>" * blocks
+            times = []
+            for _ in range(3):
+                started = time.perf_counter()
+                tokenize(html)
+                times.append(time.perf_counter() - started)
+            return min(times)
+
+        assert best_of_three(4000) / best_of_three(500) <= 12
+
 
 class TestTokenizeProperties:
     @given(st.text(max_size=300))

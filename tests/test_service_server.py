@@ -3,6 +3,7 @@ multi-tenant fairness, restart-resume (``repro.service``)."""
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -195,6 +196,119 @@ class TestServeBasics:
             with ServiceClient(path) as cli:
                 assert cli.ping()
                 assert cli.apply("shop-7", _site_pages(7))["count"] == 3
+
+
+# -- idle cost and transport options ------------------------------------------
+
+
+class TestIdleAndTransport:
+    @pytest.mark.parametrize("workers", [1, 2], ids=["inline", "two-workers"])
+    def test_idle_daemon_does_not_spin(self, workers):
+        """With nothing queued and nothing in the pool, the dispatcher
+        blocks on a wake-up instead of polling an empty session."""
+        with ExtractionServer(
+            "memory",
+            extractor=_extractor(),
+            annotator=_annotator(),
+            max_workers=workers,
+        ) as srv:
+            with ServiceClient(srv.address) as cli:
+                assert cli.apply("shop-3", _site_pages(3))["count"] == 3
+                time.sleep(0.2)
+                cpu = time.process_time()
+                time.sleep(1.0)
+                assert time.process_time() - cpu < 0.2
+                started = time.perf_counter()
+                assert cli.ping()
+                assert time.perf_counter() - started < 0.5
+                # Work arriving after the idle spell is still served.
+                assert cli.apply("shop-3", _site_pages(3))["count"] == 3
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["inline", "two-workers"])
+    def test_frames_wake_an_idle_dispatcher(self, workers, monkeypatch):
+        """An idle dispatcher is woken by the frame itself, not by the
+        end of its bounded wait: with the bound stretched to 30 s,
+        requests and shutdown are still served at once."""
+        from repro.service import server as server_module
+
+        monkeypatch.setattr(server_module, "_IDLE_SLEEP", 30.0)
+        srv = ExtractionServer(
+            "memory",
+            extractor=_extractor(),
+            annotator=_annotator(),
+            max_workers=workers,
+        ).start()
+        try:
+            with ServiceClient(srv.address, timeout=10.0) as cli:
+                assert cli.apply("shop-3", _site_pages(3))["count"] == 3
+                for _ in range(3):
+                    time.sleep(0.05)  # let the dispatcher go idle
+                    started = time.perf_counter()
+                    assert cli.ping()
+                    assert time.perf_counter() - started < 2.0
+        finally:
+            started = time.perf_counter()
+            srv.close()
+        assert time.perf_counter() - started < 5.0
+
+    def test_concurrent_tenants_wake_an_idle_dispatcher(self):
+        """Readers racing the dispatcher's clear/wait never strand a
+        frame: more client threads than cores, with a tiny switch
+        interval, all get every ping answered."""
+        import sys
+
+        answered = []
+        errors = []
+
+        def tenant(address):
+            try:
+                with ServiceClient(address, timeout=10.0) as cli:
+                    for _ in range(30):
+                        assert cli.ping()
+                        answered.append(1)
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ExtractionServer("memory", max_workers=1) as srv:
+                threads = [
+                    threading.Thread(target=tenant, args=(srv.address,))
+                    for _ in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert len(answered) == 6 * 30
+
+    def test_tcp_connections_disable_nagle(self, server, client):
+        assert client.ping()  # the server has accepted and read from us
+        with server._clients_lock:
+            (served,) = server._clients.values()
+        for sock in (client._sock, served.sock):
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    def test_unix_sockets_keep_their_options(self, tmp_path):
+        from repro import telemetry
+        from repro.telemetry import names as metric_names
+
+        swallowed = telemetry.counter(metric_names.SERVER_SWALLOWED_ERRORS)
+        before = swallowed.value(where="accept.nodelay")
+        path = str(tmp_path / "repro.sock")
+        with ExtractionServer("memory", socket_path=path, max_workers=1) as srv:
+            with ServiceClient(path) as cli:
+                assert cli.ping()
+                with srv._clients_lock:
+                    (served,) = srv._clients.values()
+                for sock in (cli._sock, served.sock):
+                    assert sock.family == socket.AF_UNIX
+        assert swallowed.value(where="accept.nodelay") == before
 
 
 # -- many tenants -------------------------------------------------------------
